@@ -452,11 +452,24 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
         "== substrate perf baseline{} ==",
         if smoke { " (smoke)" } else { "" }
     );
+    // The smoke work gate compares against the committed report, so read
+    // it before this run can overwrite it — and leave it in place when the
+    // gate fails, so a rerun fails the same way.
+    let recorded = omx_bench::perf::recorded_report();
     let report = omx_bench::perf::run(smoke, iters);
     omx_bench::perf::print_summary(&report);
-    match omx_bench::perf::write_report(&report) {
-        Ok(()) => println!("wrote BENCH_sim.json"),
-        Err(e) => eprintln!("failed to write BENCH_sim.json: {e}"),
+    let work = if smoke {
+        omx_bench::perf::work_mismatches(&report, recorded.as_ref())
+    } else {
+        Vec::new()
+    };
+    if work.is_empty() {
+        match omx_bench::perf::write_report(&report) {
+            Ok(()) => println!("wrote BENCH_sim.json"),
+            Err(e) => eprintln!("failed to write BENCH_sim.json: {e}"),
+        }
+    } else {
+        eprintln!("BENCH_sim.json left unchanged: the work gate failed");
     }
     // The campaign/* serial-vs-parallel comparison doubles as a CI
     // artifact: results/campaign_speedup.json.
@@ -478,6 +491,8 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
     // and the e2e/*_par parallel-engine benches must clear 1.5× over
     // their same-run serial-engine baselines (vacuous below --sim-jobs 4
     // or 4 cores — epoch barriers only pay off with real parallelism).
+    // The e2e work counts (events, frames) must match the committed
+    // report exactly, on any host.
     if smoke {
         let regressed = omx_bench::perf::regressions(&report, 2.0);
         for (id, mean, baseline) in &regressed {
@@ -493,7 +508,14 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
                 "engine speedup shortfall: {id} at {speedup:.2}x, expected >= 1.5x serial engine"
             );
         }
-        if !regressed.is_empty() || !shortfalls.is_empty() || !engine_shortfalls.is_empty() {
+        for m in &work {
+            eprintln!("perf work mismatch: {m}");
+        }
+        if !regressed.is_empty()
+            || !shortfalls.is_empty()
+            || !engine_shortfalls.is_empty()
+            || !work.is_empty()
+        {
             std::process::exit(3);
         }
     }

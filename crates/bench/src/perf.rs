@@ -45,14 +45,17 @@
 //! regression gate: any bench with a recorded baseline whose mean regresses
 //! more than 2× past it fails the run (see [`regressions`]), and on a
 //! machine with ≥ 4 cores a `campaign/*` parallel speedup below 2× fails it
-//! too (see [`speedup_shortfalls`]). `--iters N` overrides every bench's
-//! timed iteration count (the gates still apply to the resulting means).
+//! too (see [`speedup_shortfalls`]). It is also an exact **work gate**:
+//! every `e2e/*` entry's `events` and `frames` must equal the committed
+//! `BENCH_sim.json` (see [`work_mismatches`]). `--iters N` overrides every
+//! bench's timed iteration count (the gates still apply to the resulting
+//! means).
 //!
-//! Report schema (`omx-bench-perf/4`):
+//! Report schema (`omx-bench-perf/5`):
 //!
 //! ```json
 //! {
-//!   "schema": "omx-bench-perf/4",
+//!   "schema": "omx-bench-perf/5",
 //!   "mode": "full" | "smoke",
 //!   "jobs": 4,        // campaign pool width this run (--jobs / OMX_JOBS / cores)
 //!   "sim_jobs": 1,    // parallel-engine width this run (--sim-jobs / OMX_SIM_JOBS)
@@ -69,7 +72,9 @@
 //!       "mean_ns": 1, "min_ns": 1, "iters": 5,
 //!       "baseline_mean_ns": 1, "speedup_vs_baseline": 1.0,
 //!       "frames": 120000,               // e2e/* only: frames the cluster carried
-//!       "frames_per_sec": 1.0e8         // e2e/* only: frames / mean wall time
+//!       "frames_per_sec": 1.0e8,        // e2e/* only: frames / mean wall time
+//!       "events": 2000000,              // e2e/* only: events the engine dispatched
+//!       "events_per_frame": 16.7        // e2e/* only: events / frames
 //!     },
 //!     {
 //!       "id": "campaign/scale_quick",    // whole scale --quick campaign, pooled
@@ -92,8 +97,10 @@
 //! ```
 //!
 //! `frames` counts simulated Ethernet frames carried by the fabric in one
-//! bench iteration (deterministic — fixed seeds), so `frames_per_sec` is the
-//! end-to-end simulator throughput the ROADMAP tracks.
+//! bench iteration and `events` the events dispatched to carry them (both
+//! deterministic — fixed seeds), so `frames_per_sec` is the end-to-end
+//! simulator throughput the ROADMAP tracks and `events_per_frame` the model
+//! work behind each frame.
 //!
 //! The `campaign/*` serial-vs-parallel pairs are additionally summarised
 //! into `results/campaign_speedup.json` (see [`write_campaign_comparison`])
@@ -181,10 +188,36 @@ fn dispatch_100k_chained_events() -> u64 {
     eng.events_processed()
 }
 
+/// The deterministic work of one `e2e/*` iteration: frames the fabric
+/// carried and events the engine dispatched. Both are fixed for a fixed
+/// configuration, so unlike wall time they gate exactly on any host (see
+/// [`work_mismatches`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Work {
+    frames: u64,
+    events: u64,
+}
+
+impl Work {
+    fn of(cluster: &Cluster) -> Work {
+        Work {
+            frames: cluster.metrics().frames_carried,
+            events: cluster.events_processed(),
+        }
+    }
+
+    fn of_mpi(report: &omx_mpi::MpiRunReport) -> Work {
+        Work {
+            frames: report.metrics.frames_carried,
+            events: report.events,
+        }
+    }
+}
+
 /// 50 000 128-byte ping-pongs on a two-node cluster under the paper's
 /// open-mx strategy. Every frame takes the small-message eager path, so
 /// this is the per-packet protocol + NIC dispatch cost laid bare.
-fn e2e_pingpong_small_50k() -> u64 {
+fn e2e_pingpong_small_50k() -> Work {
     let mut cluster = ClusterBuilder::new()
         .nodes(2)
         .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
@@ -194,13 +227,13 @@ fn e2e_pingpong_small_50k() -> u64 {
         iterations: 50_000,
         warmup: 0,
     });
-    cluster.metrics().frames_carried
+    Work::of(&cluster)
 }
 
 /// The Table I medium-message cell (32 KiB × 400, window 32, default
 /// strategy): fragment reassembly and the retransmit-timer path under a
 /// windowed stream.
-fn e2e_table1_medium_cell() -> u64 {
+fn e2e_table1_medium_cell() -> Work {
     let mut cluster = ClusterBuilder::new()
         .nodes(2)
         .strategy(CoalescingStrategy::Timeout { delay_us: 75 })
@@ -210,13 +243,13 @@ fn e2e_table1_medium_cell() -> u64 {
         messages: 400,
         window: 32,
     });
-    cluster.metrics().frames_carried
+    Work::of(&cluster)
 }
 
 /// A 16-node (32-rank) 16 KiB alltoall through the bounded-buffer switch —
 /// the scale campaign's heaviest shape: rendezvous pulls, convergent
 /// traffic, and the full MPI stack above the protocol layer.
-fn e2e_scale_alltoall_16n() -> u64 {
+fn e2e_scale_alltoall_16n() -> Work {
     let mut cfg = ClusterConfig::default();
     cfg.nic.strategy = CoalescingStrategy::Timeout { delay_us: 75 };
     cfg.fabric.switch_buffer_frames = 32;
@@ -227,13 +260,13 @@ fn e2e_scale_alltoall_16n() -> u64 {
     };
     let (report, _sanitizer) =
         MpiWorld::new(spec, cfg).run_drained(|_| vec![Op::Alltoall { bytes: 16 << 10 }]);
-    report.metrics.frames_carried
+    Work::of_mpi(&report)
 }
 
 /// The same 16-node alltoall with windowed telemetry enabled (100 µs
 /// windows, the `omx-bench timeline` configuration): pins the sampling
 /// tick + snapshot overhead on top of `e2e/scale_alltoall_16n`.
-fn e2e_scale_alltoall_16n_telemetry() -> u64 {
+fn e2e_scale_alltoall_16n_telemetry() -> Work {
     let mut cfg = ClusterConfig::default();
     cfg.nic.strategy = CoalescingStrategy::Timeout { delay_us: 75 };
     cfg.fabric.switch_buffer_frames = 32;
@@ -245,17 +278,21 @@ fn e2e_scale_alltoall_16n_telemetry() -> u64 {
     let mut world = MpiWorld::new(spec, cfg);
     world.enable_telemetry(TelemetryConfig::default());
     let (report, _sanitizer) = world.run_drained(|_| vec![Op::Alltoall { bytes: 16 << 10 }]);
-    report.metrics.frames_carried
+    Work::of_mpi(&report)
+}
+
+/// The `BENCH_sim.json` already in the working directory, if any and if
+/// it parses.
+pub fn recorded_report() -> Option<Json> {
+    let text = std::fs::read_to_string("BENCH_sim.json").ok()?;
+    Json::parse(&text).ok()
 }
 
 /// `baseline_mean_ns` values recorded in the `BENCH_sim.json` already in
 /// the working directory (if any): once a baseline has been captured it
 /// persists across regenerations, exactly like the static anchors.
 fn prior_baselines() -> Vec<(String, u64)> {
-    let Ok(text) = std::fs::read_to_string("BENCH_sim.json") else {
-        return Vec::new();
-    };
-    let Ok(json) = Json::parse(&text) else {
+    let Some(json) = recorded_report() else {
         return Vec::new();
     };
     let Some(benches) = json.get("benches").and_then(|b| b.as_arr()) else {
@@ -296,7 +333,7 @@ fn entry_with_baseline(
     id: &str,
     stats: BenchStats,
     baseline: Option<u64>,
-    frames: Option<u64>,
+    work: Option<Work>,
 ) -> Json {
     let mut fields = vec![
         ("id", Json::Str(id.to_string())),
@@ -311,11 +348,16 @@ fn entry_with_baseline(
             }),
         ),
     ];
-    if let Some(frames) = frames {
+    if let Some(Work { frames, events }) = work {
         fields.push(("frames", Json::U64(frames)));
         fields.push((
             "frames_per_sec",
             Json::F64(frames as f64 * 1e9 / stats.mean_ns.max(1) as f64),
+        ));
+        fields.push(("events", Json::U64(events)));
+        fields.push((
+            "events_per_frame",
+            Json::F64(events as f64 / frames.max(1) as f64),
         ));
     }
     Json::obj(fields)
@@ -349,7 +391,7 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
     // (id, stats, frames) for the single-simulation benches, measured
     // strictly serially — one sim on one thread — so their means stay
     // comparable across `--jobs` settings.
-    let mut raw: Vec<(&str, BenchStats, Option<u64>)> = vec![
+    let mut raw: Vec<(&str, BenchStats, Option<Work>)> = vec![
         (
             "event_queue/push_pop_10k_fifo",
             measure(w, ov(n), push_pop_10k_fifo),
@@ -375,10 +417,10 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
     // so its means stay comparable to the historical baselines across
     // `--sim-jobs` settings too — the parallel engine is measured only by
     // the explicit e2e/*_par pair below.
-    let mut e2e = |id: &'static str, f: fn() -> u64| {
-        let mut frames = 0;
-        let stats = pool::with_sim_jobs(1, || measure(wf, ov(nf), || frames = f()));
-        raw.push((id, stats, Some(frames)));
+    let mut e2e = |id: &'static str, f: fn() -> Work| {
+        let mut work = Work::default();
+        let stats = pool::with_sim_jobs(1, || measure(wf, ov(nf), || work = f()));
+        raw.push((id, stats, Some(work)));
     };
     e2e("e2e/pingpong_small_50k", e2e_pingpong_small_50k);
     e2e("e2e/table1_medium_cell", e2e_table1_medium_cell);
@@ -389,9 +431,9 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
     );
     let mut benches: Vec<Json> = raw
         .into_iter()
-        .map(|(id, stats, frames)| {
+        .map(|(id, stats, work)| {
             let baseline = resolve_baseline(id, &prior, full_run, stats.mean_ns);
-            entry_with_baseline(id, stats, baseline, frames)
+            entry_with_baseline(id, stats, baseline, work)
         })
         .collect();
 
@@ -444,20 +486,20 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
     // Each parallel run's per-segment engine wall time (cumulative over
     // warmup + timed iterations) lands in the report's `engine_segments`.
     let mut engine_segments: Vec<Json> = Vec::new();
-    type E2eFn = fn() -> u64;
+    type E2eFn = fn() -> Work;
     let engine_cells: [(&str, E2eFn); 2] = [
         ("e2e/scale_alltoall_16n", e2e_scale_alltoall_16n),
         ("e2e/pingpong_small_50k", e2e_pingpong_small_50k),
     ];
     for (base, f) in engine_cells {
-        let mut frames_serial = 0;
-        let serial = pool::with_sim_jobs(1, || measure(wf, ov(nf), || frames_serial = f()));
+        let mut work_serial = Work::default();
+        let serial = pool::with_sim_jobs(1, || measure(wf, ov(nf), || work_serial = f()));
         let _ = omx_core::take_engine_segments(); // reset before the timed pair half
-        let mut frames_par = 0;
-        let parallel = measure(wf, ov(nf), || frames_par = f());
+        let mut work_par = Work::default();
+        let parallel = measure(wf, ov(nf), || work_par = f());
         let seg = omx_core::take_engine_segments();
         assert_eq!(
-            frames_serial, frames_par,
+            work_serial, work_par,
             "parallel engine diverged from serial for {base}"
         );
         let serial_id = format!("{base}_par_serial");
@@ -466,13 +508,13 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
             &serial_id,
             serial,
             serial_baseline,
-            Some(frames_serial),
+            Some(work_serial),
         ));
         benches.push(entry_with_baseline(
             &format!("{base}_par"),
             parallel,
             Some(serial.mean_ns),
-            Some(frames_par),
+            Some(work_par),
         ));
         engine_segments.push(Json::obj(vec![
             ("id", Json::Str(format!("{base}_par"))),
@@ -485,7 +527,7 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
     }
 
     Json::obj(vec![
-        ("schema", Json::Str("omx-bench-perf/4".into())),
+        ("schema", Json::Str("omx-bench-perf/5".into())),
         (
             "mode",
             Json::Str(if smoke { "smoke" } else { "full" }.into()),
@@ -527,6 +569,56 @@ pub fn regressions(report: &Json, factor: f64) -> Vec<(String, u64, u64)> {
             let mean = b.get("mean_ns")?.as_u64()?;
             let baseline = b.get("baseline_mean_ns")?.as_u64()?;
             (mean as f64 > baseline as f64 * factor).then(|| (id.to_string(), mean, baseline))
+        })
+        .collect()
+}
+
+/// `e2e/*` entries of `report` whose deterministic work differs from the
+/// same entry in `recorded` (the committed `BENCH_sim.json`), one message
+/// each. `events` and `frames` (hence `events_per_frame`) are fixed for a
+/// fixed configuration, so the gate is exact: a single extra or missing
+/// event fails it on any host, where a wall-time gate needs slack. An
+/// entry the recorded report lacks, or records without work counts, is a
+/// mismatch too — the gate cannot pass vacuously.
+pub fn work_mismatches(report: &Json, recorded: Option<&Json>) -> Vec<String> {
+    let entries = |r: &Json| -> Vec<(String, Option<u64>, Option<u64>)> {
+        r.get("benches")
+            .and_then(|b| b.as_arr())
+            .map(|benches| {
+                benches
+                    .iter()
+                    .filter_map(|b| {
+                        let id = b.get("id")?.as_str()?;
+                        id.starts_with("e2e/").then(|| {
+                            (
+                                id.to_string(),
+                                b.get("events").and_then(|v| v.as_u64()),
+                                b.get("frames").and_then(|v| v.as_u64()),
+                            )
+                        })
+                    })
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    let recorded = recorded.map(entries).unwrap_or_default();
+    entries(report)
+        .into_iter()
+        .filter_map(|(id, events, frames)| {
+            let Some((_, rec_events, rec_frames)) = recorded.iter().find(|(r, _, _)| *r == id)
+            else {
+                return Some(format!("{id}: no recorded work counts"));
+            };
+            let show = |v: Option<u64>| v.map_or_else(|| "none".to_string(), |v| v.to_string());
+            (events != *rec_events || frames != *rec_frames).then(|| {
+                format!(
+                    "{id}: events {} / frames {}, recorded events {} / frames {}",
+                    show(events),
+                    show(frames),
+                    show(*rec_events),
+                    show(*rec_frames)
+                )
+            })
         })
         .collect()
 }
@@ -756,7 +848,7 @@ mod tests {
         let report = run(true, None);
         assert_eq!(
             report.get("schema").and_then(|s| s.as_str()),
-            Some("omx-bench-perf/4")
+            Some("omx-bench-perf/5")
         );
         assert!(report.get("jobs").and_then(|j| j.as_u64()).unwrap() >= 1);
         assert!(report.get("sim_jobs").and_then(|j| j.as_u64()).unwrap() >= 1);
@@ -767,12 +859,15 @@ mod tests {
             assert!(b.get("mean_ns").and_then(|v| v.as_u64()).unwrap() > 0);
             let id = b.get("id").and_then(|v| v.as_str()).unwrap();
             if id.starts_with("e2e/") {
-                // Deterministic sims carry a nonzero, reproducible frame
-                // count; frames_per_sec is derived from it.
+                // Deterministic sims carry nonzero, reproducible frame and
+                // event counts; the rates are derived from them.
                 assert!(b.get("frames").and_then(|v| v.as_u64()).unwrap() > 0);
                 assert!(b.get("frames_per_sec").and_then(|v| v.as_f64()).unwrap() > 0.0);
+                assert!(b.get("events").and_then(|v| v.as_u64()).unwrap() > 0);
+                assert!(b.get("events_per_frame").and_then(|v| v.as_f64()).unwrap() > 1.0);
             } else {
                 assert!(b.get("frames").is_none());
+                assert!(b.get("events").is_none());
             }
         }
         // Every static anchor resolved, and every campaign parallel entry
@@ -916,6 +1011,49 @@ mod tests {
             ),
         ]);
         assert!(engine_speedup_shortfalls(&exempt, 1.5, 4, 4).is_empty());
+    }
+
+    /// The work gate is exact and fails closed: one event off, a frame
+    /// off, a missing recorded entry or no recorded report at all each
+    /// fail; only an exact match passes. Non-e2e entries are ignored.
+    #[test]
+    fn work_gate_is_exact() {
+        let report = |entries: &[(&str, u64, u64)]| {
+            Json::obj(vec![(
+                "benches",
+                Json::Arr(
+                    entries
+                        .iter()
+                        .map(|&(id, events, frames)| {
+                            Json::obj(vec![
+                                ("id", Json::Str(id.into())),
+                                ("events", Json::U64(events)),
+                                ("frames", Json::U64(frames)),
+                            ])
+                        })
+                        .chain(std::iter::once(Json::obj(vec![(
+                            "id",
+                            Json::Str("event_queue/push_pop_10k_fifo".into()),
+                        )])))
+                        .collect(),
+                ),
+            )])
+        };
+        let recorded = report(&[("e2e/a", 2_000, 100), ("e2e/b", 500, 50)]);
+        let same = report(&[("e2e/a", 2_000, 100), ("e2e/b", 500, 50)]);
+        assert!(work_mismatches(&same, Some(&recorded)).is_empty());
+        let one_event = report(&[("e2e/a", 2_001, 100), ("e2e/b", 500, 50)]);
+        let m = work_mismatches(&one_event, Some(&recorded));
+        assert_eq!(m.len(), 1);
+        assert!(m[0].starts_with("e2e/a:"), "{m:?}");
+        let one_frame = report(&[("e2e/a", 2_000, 100), ("e2e/b", 500, 49)]);
+        assert_eq!(work_mismatches(&one_frame, Some(&recorded)).len(), 1);
+        let new_entry = report(&[("e2e/a", 2_000, 100), ("e2e/c", 1, 1)]);
+        assert_eq!(
+            work_mismatches(&new_entry, Some(&recorded)),
+            vec!["e2e/c: no recorded work counts".to_string()]
+        );
+        assert_eq!(work_mismatches(&same, None).len(), 2);
     }
 
     #[test]

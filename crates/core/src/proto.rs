@@ -28,8 +28,8 @@ use crate::wire::{
     OmxHeader, Packet, PacketKind, MEDIUM_MAX, PULL_BLOCK_FRAMES, PULL_PIPELINE, SMALL_MAX,
 };
 use omx_sim::stats::Counter;
-use omx_sim::{Slab, SlabToken, Time, TimeDelta};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use omx_sim::{FxHashMap, FxHashSet, Slab, SlabToken, Time, TimeDelta};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Protocol tunables.
 #[derive(Debug, Clone, Copy)]
@@ -308,7 +308,9 @@ struct Scratch {
 /// handling. Ordered (`BTreeMap`) indexes are kept wherever the driver
 /// *iterates* (timer scans over conns and pulls, the pending report):
 /// iteration order feeds the emitted action order, and a randomized-seed
-/// `HashMap` would make runs differ across processes. A stale token —
+/// `HashMap` would make runs differ across processes. The lookup-only
+/// indexes (`send_index`, `medium_index`, `finished`) use the unkeyed
+/// [`FxHashMap`]/[`FxHashSet`]. A stale token —
 /// state removed while a handle is still live — panics in the slab rather
 /// than silently reading a reused slot.
 pub struct NodeDriver {
@@ -318,15 +320,15 @@ pub struct NodeDriver {
     conns: Slab<Conn>,
     conn_index: BTreeMap<(u8, EndpointAddr), SlabToken>,
     sends: Slab<SendState>,
-    send_index: HashMap<MsgId, SlabToken>,
+    send_index: FxHashMap<MsgId, SlabToken>,
     mediums: Slab<MediumRx>,
-    medium_index: HashMap<MsgKey, SlabToken>,
+    medium_index: FxHashMap<MsgKey, SlabToken>,
     pulls: Slab<PullRx>,
     pull_index: BTreeMap<MsgKey, SlabToken>,
     /// Small messages that arrived before their receive was posted are fully
     /// described by the unexpected-match entry; mediums/larges need the maps
     /// above. Completed message keys (dup suppression after completion).
-    finished: std::collections::HashSet<MsgKey>,
+    finished: FxHashSet<MsgKey>,
     next_msg: u64,
     counters: DriverCounters,
     scratch: Scratch,
@@ -346,12 +348,12 @@ impl NodeDriver {
             conns: Slab::new(),
             conn_index: BTreeMap::new(),
             sends: Slab::new(),
-            send_index: HashMap::new(),
+            send_index: FxHashMap::default(),
             mediums: Slab::new(),
-            medium_index: HashMap::new(),
+            medium_index: FxHashMap::default(),
             pulls: Slab::new(),
             pull_index: BTreeMap::new(),
-            finished: std::collections::HashSet::new(),
+            finished: FxHashSet::default(),
             next_msg: 0,
             counters: DriverCounters::default(),
             scratch: Scratch::default(),
@@ -1527,6 +1529,7 @@ impl NodeDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Drive two drivers against each other, instantly delivering packets.
     /// Returns all non-transmit actions seen on each side.

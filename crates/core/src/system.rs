@@ -39,9 +39,8 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{Engine, EventToken, Model, Scheduler, StopCondition, Time, TimeDelta};
+use omx_sim::{Engine, EventToken, FxHashMap, Model, Scheduler, StopCondition, Time, TimeDelta};
 use std::any::Any;
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -470,7 +469,7 @@ struct NodeRt {
     nic: Nic,
     host: Host,
     /// Frames whose DMA is in flight or that sit ready in host memory.
-    in_dma: HashMap<DescId, WireFrame>,
+    in_dma: FxHashMap<DescId, WireFrame>,
     /// Time-weighted depth of `in_dma` — outstanding receive work.
     pending_dma: TimeWeighted,
     /// Armed driver-timer deadline (dedup of DriverTimer events).
@@ -665,10 +664,14 @@ pub(crate) struct Shard {
     pub(crate) base: u16,
     pub(crate) cfg: ClusterConfig,
     nodes: Vec<NodeRt>,
-    actors: HashMap<(u16, u8), Box<dyn Actor>>,
-    /// Per-endpoint application CPU cursor: an actor's callbacks and the
-    /// work they issue are serialised on its core.
-    app_busy: HashMap<(u16, u8), Time>,
+    /// Dense per-endpoint actor table, indexed by [`Shard::ep_slot`]:
+    /// `(node - base) * endpoints_per_node + ep`. It splits and absorbs
+    /// with the node ranges.
+    actors: Vec<Option<Box<dyn Actor>>>,
+    /// Per-endpoint application CPU cursor (same indexing as `actors`): an
+    /// actor's callbacks and the work they issue are serialised on its
+    /// core.
+    app_busy: Vec<Time>,
     pub(crate) stop: bool,
     /// Scratch buffer for actor commands (reused across callbacks).
     cmd_buf: Vec<ActorCmd>,
@@ -735,6 +738,14 @@ impl Shard {
         &mut self.nodes[(node - self.base) as usize]
     }
 
+    /// Index of endpoint `(node, ep)` in the dense `actors`/`app_busy`
+    /// tables.
+    #[inline]
+    fn ep_slot(&self, node: u16, ep: u8) -> usize {
+        debug_assert!((ep as usize) < self.cfg.endpoints_per_node);
+        (node - self.base) as usize * self.cfg.endpoints_per_node + ep as usize
+    }
+
     /// Snapshot this shard's node taps into an already-open telemetry
     /// window (global node indices). The caller opens the window and
     /// samples the fabric ports.
@@ -763,9 +774,14 @@ impl Shard {
     /// serial `run` primes `AppStart` events in sorted key order, and the
     /// parallel runner must reproduce exactly that order).
     pub(crate) fn actor_keys_sorted(&self) -> Vec<(u16, u8)> {
-        let mut keys: Vec<(u16, u8)> = self.actors.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        let epn = self.cfg.endpoints_per_node;
+        // Slot order is `(node, ep)` order.
+        self.actors
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.is_some())
+            .map(|(i, _)| (self.base + (i / epn) as u16, (i % epn) as u8))
+            .collect()
     }
 
     /// Whether any actor in this shard may call [`ActorCtx::stop`]
@@ -773,7 +789,7 @@ impl Shard {
     /// split, to classify each partition for the parallel engine's global
     /// stop vote.
     pub(crate) fn may_stop(&self) -> bool {
-        self.actors.values().any(|a| a.may_stop())
+        self.actors.iter().flatten().any(|a| a.may_stop())
     }
 
     /// Split this shard into `parts` contiguous sub-shards, moving all node
@@ -784,8 +800,11 @@ impl Shard {
         let n = self.nodes.len();
         assert!(self.base == 0, "only the full-cluster shard splits");
         assert!((1..=n).contains(&parts), "bad split: {parts} of {n} nodes");
+        let epn = self.cfg.endpoints_per_node;
         let mut nodes = std::mem::take(&mut self.nodes);
         let mut delivered = std::mem::take(&mut self.delivered_bytes);
+        let mut actors = std::mem::take(&mut self.actors);
+        let mut app_busy = std::mem::take(&mut self.app_busy);
         let mut shards: Vec<Shard> = Vec::with_capacity(parts);
         for p in (0..parts).rev() {
             let start = p * n / parts;
@@ -793,8 +812,8 @@ impl Shard {
                 base: start as u16,
                 cfg: self.cfg.clone(),
                 nodes: nodes.split_off(start),
-                actors: HashMap::new(),
-                app_busy: HashMap::new(),
+                actors: actors.split_off(start * epn),
+                app_busy: app_busy.split_off(start * epn),
                 stop: false,
                 cmd_buf: Vec::new(),
                 action_buf: Vec::new(),
@@ -807,19 +826,6 @@ impl Shard {
             });
         }
         shards.reverse();
-        let bases: Vec<u16> = shards.iter().map(|s| s.base).collect();
-        let owner = |node: u16| {
-            bases
-                .partition_point(|b| *b <= node)
-                .checked_sub(1)
-                .expect("node below first shard base")
-        };
-        for ((node, ep), a) in self.actors.drain() {
-            shards[owner(node)].actors.insert((node, ep), a);
-        }
-        for ((node, ep), t) in self.app_busy.drain() {
-            shards[owner(node)].app_busy.insert((node, ep), t);
-        }
         shards
     }
 
@@ -833,8 +839,8 @@ impl Shard {
         );
         self.nodes.append(&mut w.nodes);
         self.delivered_bytes.append(&mut w.delivered_bytes);
-        self.actors.extend(w.actors.drain());
-        self.app_busy.extend(w.app_busy.drain());
+        self.actors.append(&mut w.actors);
+        self.app_busy.append(&mut w.app_busy);
         self.stop |= w.stop;
     }
 
@@ -860,7 +866,9 @@ impl Shard {
                 }
                 let key = (pkt.hdr.dst.node.0, pkt.hdr.dst.endpoint);
                 if !woken.contains(&key)
-                    && self.actors.get(&key).is_some_and(|a| a.blocking_waits())
+                    && self.actors[self.ep_slot(key.0, key.1)]
+                        .as_ref()
+                        .is_some_and(|a| a.blocking_waits())
                 {
                     woken.push(key);
                     wake_ns += if self.cfg.host.sleep_enabled {
@@ -1112,7 +1120,8 @@ impl Shard {
         ctx: &mut impl SimCtx,
         f: impl FnOnce(&mut dyn Actor, &mut ActorCtx),
     ) {
-        let Some(mut actor) = self.actors.remove(&(node, ep)) else {
+        let slot = self.ep_slot(node, ep);
+        let Some(mut actor) = self.actors[slot].take() else {
             return;
         };
         let blocking = actor.blocking_waits();
@@ -1131,7 +1140,7 @@ impl Shard {
             };
             f(actor.as_mut(), &mut ctx);
         }
-        self.actors.insert((node, ep), actor);
+        self.actors[slot] = Some(actor);
 
         // Execute commands sequentially, charging application CPU cost.
         // The cursor starts after any still-running work of this endpoint so
@@ -1140,7 +1149,7 @@ impl Shard {
         // paid once per delivery burst — the very effect that makes
         // per-packet interrupts expensive (§IV-B1).
         let costs = self.cfg.host.costs;
-        let busy = *self.app_busy.entry((node, ep)).or_insert(Time::ZERO);
+        let busy = self.app_busy[slot];
         let _ = blocking; // the wakeup cost is charged in the IRQ handler
         let mut cursor = now.max(busy);
         for cmd in cmds.drain(..) {
@@ -1209,7 +1218,7 @@ impl Shard {
                 }
             }
         }
-        self.app_busy.insert((node, ep), cursor);
+        self.app_busy[slot] = cursor;
         self.cmd_buf = cmds;
     }
 }
@@ -1353,16 +1362,18 @@ impl Shard {
             Ev::DriverTimer { node } => {
                 let rt = self.rt(node);
                 rt.driver_timer = None;
-                let due = rt.driver.next_deadline().is_some_and(|d| d <= now);
-                if due {
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    self.rt(node).driver.on_timer_into(now, &mut actions);
-                    self.run_driver_actions(node, now, &mut actions, None, ctx);
-                    self.action_buf = actions;
-                } else if let Some(d) = self.rt(node).driver.next_deadline() {
-                    let rt = self.rt(node);
-                    rt.driver_timer = Some(d);
-                    ctx.schedule_at(d, Ev::DriverTimer { node });
+                match rt.driver.next_deadline() {
+                    Some(d) if d <= now => {
+                        let mut actions = std::mem::take(&mut self.action_buf);
+                        self.rt(node).driver.on_timer_into(now, &mut actions);
+                        self.run_driver_actions(node, now, &mut actions, None, ctx);
+                        self.action_buf = actions;
+                    }
+                    Some(d) => {
+                        rt.driver_timer = Some(d);
+                        ctx.schedule_at(d, Ev::DriverTimer { node });
+                    }
+                    None => {}
                 }
             }
             Ev::ShmDeliver { node, pkt } => {
@@ -1399,14 +1410,16 @@ impl Shard {
             Ev::OffloadTimer { node } => {
                 let rt = self.rt(node);
                 rt.offload_timer = None;
-                let due = rt.offload.next_deadline().is_some_and(|d| d <= now);
-                if due {
-                    self.rt(node).offload.on_timer(now);
-                    self.run_offload_emits(node, now, ctx);
-                } else if let Some(d) = self.rt(node).offload.next_deadline() {
-                    let rt = self.rt(node);
-                    rt.offload_timer = Some(d);
-                    ctx.schedule_at(d, Ev::OffloadTimer { node });
+                match rt.offload.next_deadline() {
+                    Some(d) if d <= now => {
+                        rt.offload.on_timer(now);
+                        self.run_offload_emits(node, now, ctx);
+                    }
+                    Some(d) => {
+                        rt.offload_timer = Some(d);
+                        ctx.schedule_at(d, Ev::OffloadTimer { node });
+                    }
+                    None => {}
                 }
             }
             Ev::OffloadDone { node, ep, seq } => {
@@ -1506,7 +1519,7 @@ impl Cluster {
                 driver: NodeDriver::new(i as u16, cfg.endpoints_per_node, cfg.proto),
                 nic: Nic::new(cfg.nic.clone()),
                 host: Host::new(cfg.host),
-                in_dma: HashMap::new(),
+                in_dma: FxHashMap::default(),
                 pending_dma: TimeWeighted::default(),
                 driver_timer: None,
                 coalesce_timer_tok: None,
@@ -1515,13 +1528,14 @@ impl Cluster {
             })
             .collect();
         let model_nodes = cfg.nodes;
+        let endpoints = cfg.nodes * cfg.endpoints_per_node;
         let model = SystemModel {
             shard: Shard {
                 base: 0,
                 cfg,
                 nodes,
-                actors: HashMap::new(),
-                app_busy: HashMap::new(),
+                actors: (0..endpoints).map(|_| None).collect(),
+                app_busy: vec![Time::ZERO; endpoints],
                 stop: false,
                 cmd_buf: Vec::new(),
                 action_buf: Vec::new(),
@@ -1613,11 +1627,12 @@ impl Cluster {
         model.shard.nodes[node as usize]
             .host
             .set_app_active(core, polls, Time::ZERO);
-        let prev = model.shard.actors.insert((node, ep), actor);
+        let slot = model.shard.ep_slot(node, ep);
         assert!(
-            prev.is_none(),
+            model.shard.actors[slot].is_none(),
             "endpoint ({node}, {ep}) already has an actor"
         );
+        model.shard.actors[slot] = Some(actor);
     }
 
     /// Parallel-engine eligibility for the next run: `Some(parts)` when
@@ -1708,10 +1723,7 @@ impl Cluster {
         }
         if !self.started {
             self.started = true;
-            let mut keys: Vec<(u16, u8)> =
-                self.engine.model().shard.actors.keys().copied().collect();
-            keys.sort_unstable();
-            for (node, ep) in keys {
+            for (node, ep) in self.engine.model().shard.actor_keys_sorted() {
                 self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
             }
         }
@@ -1787,11 +1799,12 @@ impl Cluster {
 
     /// Borrow an actor back (downcast to its concrete type).
     pub fn actor<T: Actor>(&self, node: u16, ep: u8) -> Option<&T> {
-        self.engine
-            .model()
-            .shard
-            .actors
-            .get(&(node, ep))
+        let shard = &self.engine.model().shard;
+        if node as usize >= shard.cfg.nodes || ep as usize >= shard.cfg.endpoints_per_node {
+            return None;
+        }
+        shard.actors[shard.ep_slot(node, ep)]
+            .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
 
@@ -2127,5 +2140,117 @@ mod tests {
             stream * 2 <= openmx,
             "stream ({stream}) should halve interrupts vs open-mx ({openmx})"
         );
+    }
+
+    /// Endpoint-table test actor: knows its own key, sends one message to
+    /// `dst` and takes one from whoever targets it.
+    struct Tagged {
+        key: (u16, u8),
+        dst: EndpointAddr,
+        got: u32,
+    }
+
+    impl Actor for Tagged {
+        fn on_start(&mut self, ctx: &mut ActorCtx) {
+            ctx.post_recv(0, 0, 1);
+            ctx.post_send(self.dst, 64, 0, 2);
+        }
+        fn on_recv_complete(&mut self, _ctx: &mut ActorCtx, _c: RecvCompletion) {
+            self.got += 1;
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Keys added out of order on 4 nodes × 3 endpoints; each actor sends
+    /// to the next key in insertion order (a cycle, so every actor
+    /// receives exactly one message).
+    const TAGGED_KEYS: [(u16, u8); 6] = [(3, 2), (0, 1), (2, 0), (1, 2), (0, 0), (3, 0)];
+
+    fn tagged_cluster() -> Cluster {
+        let mut cluster = ClusterBuilder::new().nodes(4).endpoints_per_node(3).build();
+        for (i, &(node, ep)) in TAGGED_KEYS.iter().enumerate() {
+            let (dn, de) = TAGGED_KEYS[(i + 1) % TAGGED_KEYS.len()];
+            cluster.add_actor(
+                node,
+                ep,
+                Box::new(Tagged {
+                    key: (node, ep),
+                    dst: EndpointAddr::new(dn, de),
+                    got: 0,
+                }),
+            );
+        }
+        cluster
+    }
+
+    fn sorted_tagged_keys() -> Vec<(u16, u8)> {
+        let mut keys = TAGGED_KEYS.to_vec();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn endpoint_table_split_absorb_round_trip() {
+        let mut cluster = tagged_cluster();
+        let shard = &mut cluster.engine.model_mut().shard;
+        assert_eq!(shard.actor_keys_sorted(), sorted_tagged_keys());
+        let parts = shard.split(3);
+        // Each part holds exactly the keys of its node range, sorted.
+        let split_keys: Vec<Vec<(u16, u8)>> = parts.iter().map(|p| p.actor_keys_sorted()).collect();
+        assert_eq!(
+            split_keys,
+            vec![
+                vec![(0, 0), (0, 1)],
+                vec![(1, 2)],
+                vec![(2, 0), (3, 0), (3, 2)],
+            ]
+        );
+        assert!(shard.actor_keys_sorted().is_empty());
+        for p in parts {
+            shard.absorb(p);
+        }
+        assert_eq!(shard.actor_keys_sorted(), sorted_tagged_keys());
+    }
+
+    #[test]
+    fn endpoint_table_survives_a_parallel_run() {
+        let mut cluster = tagged_cluster();
+        let stop = omx_sim::pool::with_sim_jobs(2, || {
+            assert_eq!(cluster.parallel_parts(), Some(2), "run must be parallel");
+            cluster.run_drain(Time::from_secs(1))
+        });
+        assert_eq!(stop, StopCondition::QueueEmpty);
+        assert_eq!(
+            cluster.engine.model().shard.actor_keys_sorted(),
+            sorted_tagged_keys()
+        );
+        for (node, ep) in TAGGED_KEYS {
+            let a = cluster
+                .actor::<Tagged>(node, ep)
+                .expect("actor back after absorb");
+            assert_eq!(a.key, (node, ep));
+            assert_eq!(a.got, 1, "{:?} received", a.key);
+        }
+        // Wrong type, empty slot and out-of-range keys all miss.
+        assert!(cluster.actor::<OneShotReceiver>(3, 2).is_none());
+        assert!(cluster.actor::<Tagged>(1, 0).is_none());
+        assert!(cluster.actor::<Tagged>(1, 3).is_none());
+        assert!(cluster.actor::<Tagged>(4, 0).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint (2, 1) already has an actor")]
+    fn add_actor_rejects_a_duplicate_endpoint() {
+        let mut cluster = ClusterBuilder::new().nodes(4).endpoints_per_node(3).build();
+        let receiver = || {
+            Box::new(OneShotReceiver {
+                recv_done_at: None,
+                len_seen: 0,
+            })
+        };
+        cluster.add_actor(2, 1, receiver());
+        cluster.add_actor(2, 1, receiver());
     }
 }

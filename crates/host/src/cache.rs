@@ -11,12 +11,12 @@
 //! that move together, e.g. one channel descriptor), the core that last
 //! touched it, and reports whether an access bounced.
 
-use std::collections::HashMap;
+use omx_sim::FxHashMap;
 
 /// Tracks which core last touched each shared line group.
 #[derive(Debug, Default)]
 pub struct CacheTracker {
-    owner: HashMap<u64, usize>,
+    owner: FxHashMap<u64, usize>,
     accesses: u64,
     bounces: u64,
 }

@@ -97,6 +97,9 @@ pub struct MpiRunReport {
     /// Per-node NIC collective-offload engine counters (all zero unless the
     /// job ran with [`CollectiveExec::NicOffload`]).
     pub offload: Vec<omx_core::offload::OffloadCounters>,
+    /// Simulator events dispatched by the run: engine work, not a modelled
+    /// quantity, and deterministic for a fixed configuration.
+    pub events: u64,
 }
 
 /// A configured MPI job.
@@ -263,6 +266,7 @@ impl MpiWorld {
             metrics: self.cluster.metrics(),
             telemetry: self.cluster.take_telemetry(),
             offload: self.cluster.offload_counters(),
+            events: self.cluster.events_processed(),
         };
         (report, sanitizer)
     }

@@ -14,6 +14,9 @@
 //! * [`Slab`] — the event queue's generation-stamped token idiom made
 //!   generic: dense O(1) state storage with use-after-free panics, used by
 //!   the protocol layer to avoid per-packet map lookups,
+//! * [`hash`] — [`FxHashMap`]/[`FxHashSet`], maps keyed through a small
+//!   deterministic word hasher for the per-event lookups of the model
+//!   layers (no SipHash, same hash in every process),
 //! * [`rng`] — seeded deterministic random-number helpers so that every
 //!   experiment is exactly reproducible,
 //! * [`stats`] — counters, histograms and online summary statistics used by
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod hash;
 pub mod json;
 pub mod par;
 pub mod pool;
@@ -53,6 +57,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler, StopCondition};
+pub use hash::{FxHashMap, FxHashSet};
 pub use pool::Pool;
 pub use queue::{EventQueue, EventToken};
 pub use slab::{Slab, SlabToken};

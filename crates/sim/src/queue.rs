@@ -24,16 +24,18 @@
 //!   last entry, sift) — no tombstones, `len` is exact, and `peek_time` is
 //!   `&self`. The 4-ary layout halves the tree depth versus a binary heap
 //!   and keeps sift-down comparisons within one cache line.
-//! * **Timer-wheel fast path.** Short-horizon events are routed into a
-//!   two-level hierarchical timer wheel (64 buckets per level, 2^10 ns and
-//!   2^16 ns ticks ≈ 65 µs and 4.2 ms of span). Wheel insert and cancel are
-//!   O(1) (bucket push / swap-remove), which makes the per-packet
-//!   re-arm pattern of the coalescing strategies constant-time: a timer that
-//!   is cancelled before its bucket is reached never touches the heap at
-//!   all. Buckets are unordered; when simulated time approaches a bucket it
-//!   is *promoted* wholesale into the heap, where exact `(time, seq)` order
-//!   is restored — each event is promoted at most once, so the amortised
-//!   cost matches a plain heap while cancellation stays O(1).
+//! * **Timer-wheel fast path.** Events within ~268 ms are routed into a
+//!   three-level hierarchical timer wheel (64 buckets per level; 2^10,
+//!   2^16 and 2^22 ns ticks ≈ 65 µs, 4.2 ms and 268 ms of span). Wheel
+//!   insert and cancel are O(1) (bucket push / swap-remove), which makes
+//!   the per-packet re-arm pattern of the coalescing strategies
+//!   constant-time, and keeps the 20 ms retransmit horizon of the driver
+//!   timers out of the heap until it comes due: a timer that is cancelled
+//!   before its bucket is reached never touches the heap at all. Buckets
+//!   are unordered; when simulated time approaches a bucket it is
+//!   *promoted* wholesale into the heap, where exact `(time, seq)` order is
+//!   restored — each event is promoted at most once, so the amortised cost
+//!   matches a plain heap while cancellation stays O(1).
 //!
 //! The structures are hybridised by one invariant, re-established after
 //! every mutation: **if the wheel holds any event, the heap is non-empty and
@@ -111,13 +113,15 @@ impl HeapEntry {
     }
 }
 
-/// Wheel geometry: two levels of 64 buckets. Level 0 ticks are 2^10 ns
+/// Wheel geometry: three levels of 64 buckets. Level 0 ticks are 2^10 ns
 /// (~1 µs, spanning ~65 µs); level 1 ticks are 2^16 ns (~65 µs, spanning
-/// ~4.2 ms). The NIC coalescing timeout (75 µs default) and the driver
-/// retransmit timers land in level 1; NAPI-scale re-polls land in level 0.
-/// Anything further out overflows to the heap, which is exact at any range.
-const LEVELS: usize = 2;
-const LEVEL_BITS: [u32; LEVELS] = [10, 16];
+/// ~4.2 ms); level 2 ticks are 2^22 ns (~4.2 ms, spanning ~268 ms).
+/// NAPI-scale re-polls land in level 0, the NIC coalescing timeout (75 µs
+/// default) in level 1, and the 20 ms driver retransmit horizon in
+/// level 2. Anything further out overflows to the heap, which is exact at
+/// any range.
+const LEVELS: usize = 3;
+const LEVEL_BITS: [u32; LEVELS] = [10, 16, 22];
 const WHEEL_SLOTS: usize = 64;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 
@@ -164,7 +168,7 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free_head: NIL,
             heap: Vec::new(),
-            levels: [Level::new(), Level::new()],
+            levels: std::array::from_fn(|_| Level::new()),
             next_seq: 0,
             len: 0,
         }
@@ -687,6 +691,49 @@ mod tests {
         assert_eq!(q.wheel_len(), 0);
         assert_eq!(q.pop(), Some((t(100), 0)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn rto_horizon_timers_use_the_top_level() {
+        let mut q = EventQueue::new();
+        q.push(t(100), 0u64);
+        // A driver retransmit deadline one 20 ms RTO out is beyond level
+        // 1's ~4.2 ms span but inside level 2's ~268 ms.
+        let tok = q.push(t(100 + 20_000_000), 1u64);
+        assert_eq!(q.wheel_len(), 1, "20ms timer should be wheel-resident");
+        assert!(matches!(
+            q.slots[tok.slot as usize].loc,
+            Loc::Wheel { level: 2, .. }
+        ));
+        assert_eq!(q.heap.len(), 1);
+        assert!(q.cancel(tok));
+        // The cancel never touched the heap: same single root entry.
+        assert_eq!(q.wheel_len(), 0);
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.heap[0].time, t(100));
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((t(100), 0)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn top_level_promotion_keeps_fifo_ties() {
+        let mut q = EventQueue::new();
+        q.push(t(0), 0u64);
+        // Same-time events split between a level-2 bucket (pushed early,
+        // far ahead of the root) and the heap/lower levels (pushed after
+        // time advanced) must still pop in push order.
+        let at = 30_000_000;
+        q.push(t(at), 1u64);
+        q.push(t(at), 2u64);
+        assert_eq!(q.wheel_len(), 2);
+        assert_eq!(q.pop(), Some((t(0), 0)));
+        q.push(t(at - 1_000), 3u64);
+        assert_eq!(q.pop(), Some((t(at - 1_000), 3)));
+        q.push(t(at), 4u64);
+        q.check_invariants();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![1, 2, 4]);
     }
 
     #[test]

@@ -98,12 +98,20 @@ fn queue_matches_sorted_vec_model() {
 
         for _ in 0..ops {
             match rng.range_u64(0, 100) {
-                // Push (45%) — mix of short horizons (wheel-range) and far.
+                // Push (45%) — horizons spanning every wheel level
+                // (~65 µs, ~4.2 ms, ~268 ms), the heap overflow past
+                // them, and exact repeats of queued times.
                 0..=44 => {
-                    let t = if rng.chance(0.7) {
-                        floor + rng.range_u64(0, 100_000) // within wheel spans
-                    } else {
-                        floor + rng.range_u64(0, 10_000_000_000) // far future
+                    let t = match rng.range_u64(0, 10) {
+                        // Same-time FIFO ties, including ties split between
+                        // a wheel bucket and the heap across a promotion.
+                        0..=1 if !model.is_empty() => {
+                            model[rng.range_u64(0, model.len() as u64) as usize].time
+                        }
+                        0..=3 => floor + rng.range_u64(0, 100_000),
+                        4..=5 => floor + rng.range_u64(0, 5_000_000),
+                        6..=8 => floor + rng.range_u64(0, 300_000_000),
+                        _ => floor + rng.range_u64(0, 10_000_000_000), // far future
                     };
                     let id = next_id;
                     next_id += 1;
