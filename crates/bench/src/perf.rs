@@ -1,7 +1,7 @@
 //! Tracked performance baseline of the simulation substrate.
 //!
 //! `omx-bench perf` runs the substrate micro-benchmarks (the same workloads
-//! as `cargo bench --bench engine`, plus a timer re-arm stress), **the
+//! as `cargo bench --bench engine`, plus a cascading RTO-horizon churn), **the
 //! `e2e/*` whole-simulation benches** (full clusters driven to completion,
 //! reported in frames/sec), **and the `campaign/*` wall-clock benches**
 //! (whole quick campaigns on the work-stealing pool, parallel and serial),
@@ -177,6 +177,30 @@ fn timer_rearm_100k() -> EventQueue<u64> {
     for i in 0..100_000u64 {
         q.cancel(tok);
         tok = q.push(Time::from_nanos(60_000 + (i % 1_000)), 1);
+    }
+    q
+}
+
+/// The `pingpong` retransmit pattern: a frame every 4,096 ns arms one or
+/// two (alternately, on one shared instant) deadlines a 20 ms RTO out, plus
+/// a 1.5 µs follow-up. About 7,300 deadlines stay live while simulated
+/// time sweeps 100 ms, so level-2 wheel buckets keep coming due and
+/// cascading down — a path `timer_rearm_100k` never reaches.
+fn rto_horizon_churn() -> EventQueue<u64> {
+    let mut q = EventQueue::<u64>::new();
+    q.push(Time::ZERO, 0);
+    let mut frames = 0u64;
+    while frames < 25_000 {
+        let (now, kind) = q.pop().expect("the frame chain never ends");
+        if kind == 0 {
+            let t = now.as_nanos();
+            q.push(Time::from_nanos(t + 4_096), 0);
+            q.push(Time::from_nanos(t + 1_500), 1);
+            for _ in 0..=frames % 2 {
+                q.push(Time::from_nanos(t + 20_000_000), 2);
+            }
+            frames += 1;
+        }
     }
     q
 }
@@ -405,6 +429,11 @@ pub fn run(smoke: bool, iters_override: Option<u32>) -> Json {
         (
             "event_queue/timer_rearm_100k",
             measure(w, ov(n), timer_rearm_100k),
+            None,
+        ),
+        (
+            "event_queue/rto_horizon_churn",
+            measure(w, ov(n), rto_horizon_churn),
             None,
         ),
         (
@@ -854,7 +883,7 @@ mod tests {
         assert!(report.get("sim_jobs").and_then(|j| j.as_u64()).unwrap() >= 1);
         assert!(report.get("cores").and_then(|c| c.as_u64()).unwrap() >= 1);
         let benches = report.get("benches").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), 16);
+        assert_eq!(benches.len(), 17);
         for b in benches {
             assert!(b.get("mean_ns").and_then(|v| v.as_u64()).unwrap() > 0);
             let id = b.get("id").and_then(|v| v.as_str()).unwrap();

@@ -223,3 +223,96 @@ fn interleaved_operations_stay_ordered() {
         }
     }
 }
+
+/// Model-based check of the cascade path: at least 2,000 live deadlines
+/// one 20 ms RTO out — many on shared instants and on wheel tick
+/// boundaries — under µs-scale push / pop / cancel traffic, so due level-2
+/// buckets cascade into level 1, then level 0, then the heap, with FIFO
+/// ties split across every cascade boundary. Every pop is checked against
+/// the sorted-`Vec` model.
+#[test]
+fn rto_horizon_cascades_match_sorted_vec_model() {
+    const RTO: u64 = 20_000_000;
+    const LIVE_RTO: usize = 2_000;
+    for case in 0..4u64 {
+        let mut rng = SimRng::new(0x5EED_0005 + case);
+        let mut q = EventQueue::new();
+        // (time, seq, is_rto), sorted by (time, seq).
+        let mut model: Vec<(u64, u64, bool)> = Vec::new();
+        let mut live: Vec<(omx_sim::EventToken, u64)> = Vec::new();
+        let (mut seq, mut floor, mut live_rto) = (0u64, 0u64, 0usize);
+        let mut rto_pops = 0u64;
+        let mut push = |q: &mut EventQueue<u64>,
+                        model: &mut Vec<(u64, u64, bool)>,
+                        live: &mut Vec<(omx_sim::EventToken, u64)>,
+                        t: u64,
+                        rto: bool| {
+            let tok = q.push(Time::from_nanos(t), seq);
+            let pos = model
+                .binary_search_by_key(&(t, seq), |&(mt, ms, _)| (mt, ms))
+                .unwrap_err();
+            model.insert(pos, (t, seq, rto));
+            live.push((tok, seq));
+            seq += 1;
+        };
+        for _ in 0..40_000 {
+            // Keep the RTO horizon populated: deadlines on shared instants
+            // (eight per 2 µs step) and on exact level-0/1/2 tick starts.
+            while live_rto < LIVE_RTO {
+                let base = floor + RTO;
+                let t = match rng.range_u64(0, 4) {
+                    0 => base & !((1 << 22) - 1),
+                    1 => base & !((1 << 16) - 1),
+                    2 => base & !((1 << 10) - 1),
+                    _ => base / 2_000 * 2_000,
+                };
+                push(&mut q, &mut model, &mut live, t.max(floor), true);
+                live_rto += 1;
+            }
+            match rng.range_u64(0, 100) {
+                // µs-scale push, a third of them tying an already-queued
+                // instant (often a deadline filed in a higher level).
+                0..=39 => {
+                    let t = if rng.chance(0.33) {
+                        model[rng.range_u64(0, model.len() as u64) as usize].0
+                    } else {
+                        floor + rng.range_u64(0, 80_000)
+                    };
+                    push(&mut q, &mut model, &mut live, t, false);
+                }
+                // Cancel anything live.
+                40..=54 => {
+                    let k = rng.range_u64(0, live.len() as u64) as usize;
+                    let (tok, s) = live.swap_remove(k);
+                    assert!(q.cancel(tok), "case {case}: live token must cancel");
+                    let pos = model.iter().position(|e| e.1 == s).unwrap();
+                    live_rto -= usize::from(model.remove(pos).2);
+                }
+                // Pop.
+                _ => {
+                    let (at, s) = q.pop().expect("queue is never empty here");
+                    let (t, ms, rto) = model.remove(0);
+                    assert_eq!((at.as_nanos(), s), (t, ms), "case {case}: pop mismatch");
+                    floor = t;
+                    live_rto -= usize::from(rto);
+                    rto_pops += u64::from(rto);
+                    let k = live.iter().position(|&(_, ls)| ls == s).unwrap();
+                    live.swap_remove(k);
+                }
+            }
+            assert_eq!(q.len(), model.len(), "case {case}: len mismatch");
+            assert_eq!(
+                q.peek_time().map(|t| t.as_nanos()),
+                model.first().map(|e| e.0)
+            );
+        }
+        // Simulated time swept many level-2 buckets past the first RTO.
+        assert!(floor > 3 * RTO, "case {case}: only reached {floor} ns");
+        assert!(rto_pops > 1_000, "case {case}: {rto_pops} deadlines fired");
+        while let Some((at, s)) = q.pop() {
+            let (t, ms, _) = model.remove(0);
+            assert_eq!((at.as_nanos(), s), (t, ms), "case {case}: drain");
+        }
+        assert!(model.is_empty());
+    }
+}
